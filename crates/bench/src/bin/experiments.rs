@@ -1270,7 +1270,7 @@ fn grid(args: &[String]) {
 /// versioned run manifest. The `deterministic` section — span profile,
 /// merged-registry size, content hash — is a pure function of the cell
 /// list and is byte-identical for any `FSOI_THREADS`; the `telemetry`
-/// section (worker/steal/phase/cache counters) is wall-clock data and
+/// section (worker/phase/cache counters) is wall-clock data and
 /// deliberately excluded from byte-identity gates.
 fn profile(args: &[String]) {
     header("profile: harness observability over the standard 80-cell sweep");
@@ -1387,7 +1387,7 @@ fn profile(args: &[String]) {
     print!("{}", snap.to_table());
 }
 
-/// Renders the `fsoi-run-manifest/v1` JSON document (hand-rolled, no
+/// Renders the `fsoi-run-manifest/v2` JSON document (hand-rolled, no
 /// JSON dependency; one key per line, stable field order).
 #[allow(clippy::too_many_arguments)]
 fn render_manifest(
@@ -1404,7 +1404,7 @@ fn render_manifest(
     use std::fmt::Write as _;
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema\": \"fsoi-run-manifest/v1\",\n");
+    out.push_str("  \"schema\": \"fsoi-run-manifest/v2\",\n");
     out.push_str("  \"config\": {\n");
     let _ = writeln!(out, "    \"cells\": {cells},");
     let _ = writeln!(out, "    \"networks\": \"{}\",", networks.join(","));

@@ -1,8 +1,8 @@
 //! End-to-end pin of the `experiments profile` observability contract:
 //! the run manifest's deterministic-plane section (and the raw `--det`
 //! export) must be byte-identical for `FSOI_THREADS` ∈ {1, 2, 8} on the
-//! standard 80-cell sweep, while the telemetry section reports real
-//! executor activity (chunks or steals) on multi-thread runs.
+//! standard 80-cell sweep, while the telemetry section accounts for
+//! every cell across the workers of multi-thread runs.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -49,8 +49,8 @@ fn det_section(manifest: &str) -> &str {
     &manifest[start..end]
 }
 
-/// Sums every `<key><integer>` occurrence, e.g. all workers' chunk
-/// counts for `"\"chunks\": "`.
+/// Sums every `<key><integer>` occurrence, e.g. all workers' cell
+/// counts for `"\"cells\": "`.
 fn sum_counts(text: &str, key: &str) -> u64 {
     let mut total = 0u64;
     let mut rest = text;
@@ -76,7 +76,7 @@ fn deterministic_plane_is_byte_identical_across_thread_counts() {
 
     // Manifest: versioned schema, deterministic section thread-blind.
     for m in [&m1, &m2, &m8] {
-        assert!(m.contains("\"schema\": \"fsoi-run-manifest/v1\""), "{m}");
+        assert!(m.contains("\"schema\": \"fsoi-run-manifest/v2\""), "{m}");
         assert!(m.contains("\"config_hash\": \""), "{m}");
     }
     assert_eq!(det_section(&m1), det_section(&m2));
@@ -87,12 +87,15 @@ fn deterministic_plane_is_byte_identical_across_thread_counts() {
         det_section(&m1)
     );
 
-    // Telemetry plane: real executor activity on multi-thread runs.
+    // Telemetry plane: on multi-thread runs the workers' cell counts
+    // sum to exactly the sweep's cell count.
     for (threads, m) in [("2", &m2), ("8", &m8)] {
-        let activity = sum_counts(m, "\"chunks\": ") + sum_counts(m, "\"steals\": ");
-        assert!(
-            activity > 0,
-            "threads={threads}: telemetry shows no chunks or steals: {m}"
+        assert!(m.contains("\"cells\": 80,"), "{m}");
+        let (_, telemetry) = m.split_once("\"telemetry\": {").expect("telemetry section");
+        assert_eq!(
+            sum_counts(telemetry, "\"cells\": "),
+            80,
+            "threads={threads}: worker cells must sum to config.cells: {m}"
         );
     }
 }

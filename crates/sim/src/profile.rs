@@ -9,7 +9,7 @@
 //! of the cell inputs, so a [`Profile`] is byte-identical across thread
 //! counts, cache states and hosts, and its exports may sit inside
 //! byte-identity gates. Wall-clock and scheduling observations
-//! (steal counts, idle time, phase durations) are *not* allowed here —
+//! (worker idle time, phase durations) are *not* allowed here —
 //! they live in [`crate::telemetry`], the explicitly nondeterministic
 //! plane.
 //!

@@ -1,9 +1,10 @@
 #!/usr/bin/env sh
-# Local mirror of .github/workflows/ci.yml: the same four tiers, in the
-# same order, with the same commands — green here means green in CI.
+# Local mirror of .github/workflows/ci.yml: the same tiers
+# (quick|lint|full|bench|scale), in the same order, with the same
+# commands — green here means green in CI.
 #
 # Usage:
-#   scripts/ci.sh                 # all tiers in order: quick lint full bench
+#   scripts/ci.sh                 # all tiers in order: quick lint full bench scale
 #   scripts/ci.sh --tier quick    # fmt check + build + test
 #   scripts/ci.sh --tier lint     # fsoi-lint check + clippy
 #   scripts/ci.sh --tier full     # scripts/verify.sh (incl. trace build + microbench guard)
@@ -11,8 +12,6 @@
 #   scripts/ci.sh --tier scale    # beyond-the-paper grids: 64-node four-network
 #                                 # smoke grid + a single 256-node cell, with
 #                                 # shape-class and byte-identity assertions
-#   scripts/ci.sh --tier tsan     # ThreadSanitizer pass over fsoi-sim (needs nightly;
-#                                 # optional — skipped with a notice when unavailable)
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -50,11 +49,6 @@ tier_lint() {
     # [workspace.lints] (deny unused_must_use, clippy disallowed_types)
     # applies to every target, including feature-gated benches.
     cargo clippy --offline --workspace --all-targets --features criterion -- -D warnings
-    # The model-feature build is a distinct cfg surface (virtual-thread
-    # shim paths); lint and test it here so a warning or schedule-space
-    # regression fails the same tier that owns static analysis.
-    cargo clippy --offline -p fsoi-sim --all-targets --features model -- -D warnings
-    cargo test -q --offline -p fsoi-sim --features model
 }
 
 tier_full() {
@@ -88,36 +82,12 @@ tier_scale() {
     echo "scale: grid summaries written to target/GRID_64.txt and target/GRID_256.txt"
 }
 
-tier_tsan() {
-    banner tsan
-    # ThreadSanitizer needs nightly (-Zsanitizer) plus the matching
-    # rust-src component. It is an *optional* tier: the model checker is
-    # the required concurrency gate; TSan adds OS-level data-race
-    # coverage on real interleavings when a nightly toolchain is around.
-    # CI runs it continue-on-error; locally we skip with a notice rather
-    # than fail machines without nightly.
-    if ! rustup toolchain list 2>/dev/null | grep -q nightly; then
-        echo "tsan: no nightly toolchain installed; skipping (optional tier)"
-        return 0
-    fi
-    host=$(rustc -vV | sed -n 's/^host: //p')
-    if ! rustup component list --toolchain nightly 2>/dev/null \
-        | grep -q 'rust-src (installed)'; then
-        echo "tsan: nightly rust-src component missing; skipping (optional tier)"
-        return 0
-    fi
-    RUSTFLAGS="-Zsanitizer=thread" \
-        cargo +nightly test -q --offline -p fsoi-sim \
-        -Zbuild-std --target "$host"
-}
-
 case "$TIER" in
     quick) tier_quick ;;
     lint)  tier_lint ;;
     full)  tier_full ;;
     bench) tier_bench ;;
     scale) tier_scale ;;
-    tsan)  tier_tsan ;;
     all)
         tier_quick
         tier_lint
@@ -125,7 +95,7 @@ case "$TIER" in
         tier_bench
         tier_scale
         ;;
-    *) echo "ci.sh: unknown tier '$TIER' (quick|lint|full|bench|scale|tsan|all)" >&2; exit 2 ;;
+    *) echo "ci.sh: unknown tier '$TIER' (usage: ci.sh [--tier quick|lint|full|bench|scale|all])" >&2; exit 2 ;;
 esac
 
 echo
